@@ -73,6 +73,7 @@ pub mod safety;
 pub mod scenario;
 pub mod session;
 pub mod shard;
+mod slot_window;
 pub mod snapshot;
 pub mod wire;
 pub mod workload;

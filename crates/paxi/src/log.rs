@@ -4,10 +4,17 @@
 //! *accepted* (under some ballot) → *committed* → *executed*. Execution
 //! is strictly in slot order with no gaps, which is what gives
 //! linearizability of commands.
+//!
+//! Entries live in a slot window: a ring buffer whose front is the
+//! compaction floor, so every lookup on the decide path is index
+//! arithmetic, and compaction pops the executed prefix off the front. A
+//! slot far past the window's end (a stale or hostile far-ahead `P2a`
+//! or `LearnRep`) lands in a small overflow map and costs one entry, not
+//! a resize; it moves into the window once the window's end reaches it.
 
 use crate::ballot::Ballot;
 use crate::command::Command;
-use std::collections::BTreeMap;
+use crate::slot_window::SlotWindow;
 
 /// One slot's state.
 #[derive(Debug, Clone)]
@@ -22,16 +29,17 @@ pub struct LogEntry {
     pub executed: bool,
 }
 
-/// A sparse, slot-indexed replicated log.
+/// A slot-indexed replicated log.
 ///
 /// Supports **compaction**: once slots are executed, [`Log::truncate_below`]
 /// drops them (their effect lives on in a state-machine snapshot) and
-/// [`Log::compacted_up_to`] records the floor. Accepts and commits for
-/// slots below the executed frontier are ignored — an executed slot is
-/// decided by definition, so a late message about it is stale.
+/// [`Log::compacted_up_to`] records the floor, which is also the front
+/// of the slot window. Accepts and commits for slots below the executed
+/// frontier are ignored — an executed slot is decided by definition, so
+/// a late message about it is stale.
 #[derive(Debug, Default, Clone)]
 pub struct Log {
-    entries: BTreeMap<u64, LogEntry>,
+    entries: SlotWindow<LogEntry>,
     /// Next slot the leader will propose into.
     next_slot: u64,
     /// Lowest slot that has not been executed yet.
@@ -62,9 +70,10 @@ impl Log {
     }
 
     /// Record an accepted `(ballot, command)` in `slot`, overwriting any
-    /// value accepted under a lower ballot. Returns `false` (and leaves
-    /// the entry alone) if the slot already holds a value under a higher
-    /// ballot or is already committed with a different value source.
+    /// value accepted under a lower or equal ballot. Returns `false` (and
+    /// leaves the entry alone) only if the slot holds an uncommitted value
+    /// under a higher ballot. A slot that is already committed or executed
+    /// is decided, so the accept is a no-op that returns `true`.
     pub fn accept(&mut self, slot: u64, ballot: Ballot, command: Command) -> bool {
         if slot >= self.next_slot {
             self.next_slot = slot + 1;
@@ -75,7 +84,7 @@ impl Log {
             // below the cursor after compaction.
             return true;
         }
-        match self.entries.get_mut(&slot) {
+        match self.entries.get_mut(slot) {
             Some(e) if e.committed => true, // decided: accept is a no-op
             Some(e) if e.ballot > ballot => false,
             Some(e) => {
@@ -89,15 +98,12 @@ impl Log {
             }
             None => {
                 self.retained_bytes += command.payload_bytes();
-                self.entries.insert(
-                    slot,
-                    LogEntry {
-                        ballot,
-                        command,
-                        committed: false,
-                        executed: false,
-                    },
-                );
+                self.entries.get_or_insert_with(slot, || LogEntry {
+                    ballot,
+                    command,
+                    committed: false,
+                    executed: false,
+                });
                 true
             }
         }
@@ -115,7 +121,7 @@ impl Log {
             return;
         }
         let bytes = &mut self.retained_bytes;
-        let e = self.entries.entry(slot).or_insert_with(|| {
+        let e = self.entries.get_or_insert_with(slot, || {
             *bytes += command.payload_bytes();
             LogEntry {
                 ballot,
@@ -138,7 +144,7 @@ impl Log {
     /// The next command ready to execute: the lowest committed, unexecuted
     /// slot with no uncommitted gap below it.
     pub fn next_executable(&self) -> Option<(u64, &Command)> {
-        let e = self.entries.get(&self.execute_cursor)?;
+        let e = self.entries.get(self.execute_cursor)?;
         if e.committed && !e.executed {
             Some((self.execute_cursor, &e.command))
         } else {
@@ -152,7 +158,7 @@ impl Log {
         assert_eq!(slot, self.execute_cursor, "out-of-order execution");
         let e = self
             .entries
-            .get_mut(&slot)
+            .get_mut(slot)
             .expect("executing a missing slot");
         assert!(e.committed, "executing an uncommitted slot");
         e.executed = true;
@@ -162,7 +168,7 @@ impl Log {
 
     /// Entry at `slot`, if any.
     pub fn get(&self, slot: u64) -> Option<&LogEntry> {
-        self.entries.get(&slot)
+        self.entries.get(slot)
     }
 
     /// Next slot a proposal would go into.
@@ -177,7 +183,10 @@ impl Log {
 
     /// Number of committed slots.
     pub fn committed_count(&self) -> u64 {
-        self.entries.values().filter(|e| e.committed).count() as u64
+        self.entries
+            .iter_from(0)
+            .filter(|(_, e)| e.committed)
+            .count() as u64
     }
 
     /// Number of retained entries — the memory footprint compaction
@@ -188,7 +197,7 @@ impl Log {
 
     /// True when no entry is retained.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.len() == 0
     }
 
     /// Compaction floor: every slot below it has been truncated away
@@ -227,7 +236,7 @@ impl Log {
         if up_to <= self.compacted {
             return;
         }
-        self.entries = self.entries.split_off(&up_to);
+        self.entries.truncate_below(up_to);
         self.compacted = up_to;
         self.recompute_bytes();
     }
@@ -241,7 +250,7 @@ impl Log {
         if up_to <= self.execute_cursor {
             return false;
         }
-        self.entries = self.entries.split_off(&up_to);
+        self.entries.truncate_below(up_to);
         self.execute_cursor = up_to;
         self.next_slot = self.next_slot.max(up_to);
         self.compacted = self.compacted.max(up_to);
@@ -250,14 +259,9 @@ impl Log {
     }
 
     fn recompute_bytes(&mut self) {
-        self.retained_bytes = self
-            .entries
-            .values()
-            .map(|e| e.command.payload_bytes())
-            .sum();
-        self.executed_bytes = self
-            .entries
-            .values()
+        let entries = || self.entries.iter_from(0).map(|(_, e)| e);
+        self.retained_bytes = entries().map(|e| e.command.payload_bytes()).sum();
+        self.executed_bytes = entries()
             .filter(|e| e.executed)
             .map(|e| e.command.payload_bytes())
             .sum();
@@ -271,7 +275,7 @@ impl Log {
     /// re-proposing a client retry of it would decide the command twice.
     pub fn has_unexecuted_command(&self, id: crate::command::RequestId) -> bool {
         self.entries
-            .range(self.execute_cursor..)
+            .iter_from(self.execute_cursor)
             .any(|(_, e)| !e.executed && e.command.id == id)
     }
 
@@ -280,7 +284,7 @@ impl Log {
     /// a leader's per-client proposal floor after re-election.
     pub fn highest_unexecuted_seq(&self, client: simnet::NodeId) -> Option<u64> {
         self.entries
-            .range(self.execute_cursor..)
+            .iter_from(self.execute_cursor)
             .filter(|(_, e)| !e.executed && e.command.id.client == client)
             .map(|(_, e)| e.command.id.seq)
             .max()
@@ -294,8 +298,8 @@ impl Log {
     /// in-flight window).
     pub fn entries_from(&self, from_slot: u64) -> Vec<(u64, Ballot, Command)> {
         self.entries
-            .range(from_slot..)
-            .map(|(&s, e)| (s, e.ballot, e.command.clone()))
+            .iter_from(from_slot)
+            .map(|(s, e)| (s, e.ballot, e.command.clone()))
             .collect()
     }
 
@@ -303,14 +307,14 @@ impl Log {
     /// fills with no-ops).
     pub fn holes(&self, from: u64, to: u64) -> Vec<u64> {
         (from..to)
-            .filter(|s| !self.entries.contains_key(s))
+            .filter(|&s| self.entries.get(s).is_none())
             .collect()
     }
 
     /// True if any accepted-but-uncommitted entry at or above `from`
     /// writes `key` — the "pending write" check of Paxos Quorum Reads.
     pub fn has_uncommitted_write(&self, key: crate::command::Key, from: u64) -> bool {
-        self.entries.range(from..).any(|(_, e)| {
+        self.entries.iter_from(from).any(|(_, e)| {
             !e.committed && !e.command.op.is_read() && e.command.op.key() == Some(key)
         })
     }
@@ -518,5 +522,40 @@ mod tests {
             "executed commands leave the window"
         );
         assert!(log.has_unexecuted_command(cmd(3).id));
+    }
+
+    #[test]
+    fn far_ahead_slot_costs_one_entry() {
+        let mut log = Log::new();
+        log.commit(0, b(1), cmd(0));
+        let window = log.entries.window_len();
+        let far = u64::MAX - 1;
+        assert!(log.accept(far, b(1), cmd(7)));
+        log.commit(far, b(1), cmd(7));
+        assert_eq!(log.entries.window_len(), window, "no window resize");
+        assert_eq!(log.len(), 2);
+        assert!(log.get(far).unwrap().committed);
+        assert_eq!(log.entries_from(1).len(), 1);
+        assert!(log.has_unexecuted_command(cmd(7).id));
+    }
+
+    #[test]
+    fn overflow_entry_migrates_when_execution_reaches_it() {
+        use crate::slot_window::GAP;
+        let mut log = Log::new();
+        let far = GAP + 10;
+        log.commit(far, b(1), cmd(far));
+        assert_eq!(log.entries.window_len(), 0);
+        for s in 0..far {
+            log.commit(s, b(1), cmd(s));
+            let (slot, _) = log.next_executable().unwrap();
+            log.mark_executed(slot);
+        }
+        assert_eq!(log.entries.window_len() as u64, far + 1, "migrated");
+        assert_eq!(log.next_executable().unwrap().0, far);
+        log.mark_executed(far);
+        log.truncate_below(far + 1);
+        assert!(log.is_empty());
+        assert_eq!(log.retained_bytes(), 0);
     }
 }

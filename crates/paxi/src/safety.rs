@@ -6,15 +6,23 @@
 //! first decision per `(space, slot)` and flags any later disagreement.
 //! Protocols with per-replica instance spaces (EPaxos) use `space` to
 //! separate them; Multi-Paxos and PigPaxos use space 0.
+//!
+//! Each space keeps its decisions in a slot window (the structure behind
+//! [`crate::Log`]): a ring buffer from slot 0 upward, so recording a
+//! commit is index arithmetic, plus a small overflow map for slots far
+//! past the window's end. A hostile far-ahead slot therefore costs one
+//! overflow entry and is still checked against later reports for it.
 
 use crate::command::RequestId;
+use crate::slot_window::SlotWindow;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 #[derive(Debug, Default)]
 struct Inner {
-    decided: HashMap<(u32, u64), RequestId>,
+    /// First decision per slot, one window per space.
+    decided: BTreeMap<u32, SlotWindow<RequestId>>,
     violations: Vec<String>,
     commits: u64,
 }
@@ -36,38 +44,33 @@ impl SafetyMonitor {
     pub fn record(&self, space: u32, slot: u64, id: RequestId) {
         let mut inner = self.0.lock();
         inner.commits += 1;
-        match inner.decided.get(&(space, slot)) {
-            None => {
-                inner.decided.insert((space, slot), id);
-            }
-            Some(prev) if *prev == id => {}
-            Some(prev) => {
-                let msg = format!(
-                    "safety violation: space {space} slot {slot} decided as {prev} and {id}"
-                );
-                inner.violations.push(msg);
-            }
+        let prev = *inner
+            .decided
+            .entry(space)
+            .or_default()
+            .get_or_insert_with(slot, || id);
+        if prev != id {
+            let msg =
+                format!("safety violation: space {space} slot {slot} decided as {prev} and {id}");
+            inner.violations.push(msg);
         }
     }
 
     /// Distinct decided slots.
     pub fn decided_count(&self) -> u64 {
-        self.0.lock().decided.len() as u64
+        self.0.lock().decided.values().map(|w| w.len() as u64).sum()
     }
 
     /// Snapshot of every decision, sorted by `(space, slot)` — lets
     /// tests assert ordering properties (e.g. per-client FIFO under
     /// batching) on the actual decided log.
     pub fn decisions(&self) -> Vec<((u32, u64), RequestId)> {
-        let mut v: Vec<_> = self
-            .0
-            .lock()
+        let inner = self.0.lock();
+        inner
             .decided
             .iter()
-            .map(|(&k, &id)| (k, id))
-            .collect();
-        v.sort();
-        v
+            .flat_map(|(&space, w)| w.iter_from(0).map(move |(slot, &id)| ((space, slot), id)))
+            .collect()
     }
 
     /// Total commit observations (each replica's learn counts once).
@@ -145,5 +148,38 @@ mod tests {
         m.record(0, 0, id(1));
         m2.record(0, 0, id(2));
         assert_eq!(m.violations().len(), 1);
+    }
+
+    #[test]
+    fn far_ahead_slot_is_checked_without_resize() {
+        let m = SafetyMonitor::new();
+        m.record(0, 0, id(1));
+        let far = u64::MAX - 1;
+        m.record(0, far, id(2));
+        let window = |m: &SafetyMonitor| m.0.lock().decided[&0].window_len();
+        assert_eq!(window(&m), 1, "no window resize");
+        m.record(0, far, id(2));
+        assert!(m.violations().is_empty());
+        m.record(0, far, id(3));
+        assert_eq!(m.violations().len(), 1);
+        assert!(m.violations()[0].contains(&format!("slot {far}")));
+        assert_eq!(window(&m), 1);
+        assert_eq!(m.decided_count(), 2);
+        assert_eq!(m.decisions(), vec![((0, 0), id(1)), ((0, far), id(2))]);
+    }
+
+    #[test]
+    fn overflow_decision_migrates_into_the_window() {
+        use crate::slot_window::GAP;
+        let m = SafetyMonitor::new();
+        let far = GAP + 5;
+        m.record(0, far, id(far));
+        for s in 0..far {
+            m.record(0, s, id(s));
+        }
+        assert_eq!(m.0.lock().decided[&0].window_len() as u64, far + 1);
+        m.record(0, far, id(0));
+        assert_eq!(m.violations().len(), 1, "migrated decision still checked");
+        assert_eq!(m.decided_count(), far + 1);
     }
 }

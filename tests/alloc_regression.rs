@@ -36,7 +36,7 @@ use std::time::Duration;
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// Component leader pipeline bound (measured ~1.04 allocs/op at B=16,
+/// Component leader pipeline bound (measured ~0.89 allocs/op at B=16,
 /// n=5; the pre-optimization tree sat at ~7.98).
 const COMPONENT_BOUND: f64 = 3.0;
 

@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simnet::{NodeId, SimDuration};
+use std::collections::BTreeMap;
 
 fn cmd(seq: u64) -> Command {
     Command {
@@ -322,6 +323,233 @@ proptest! {
                 prop_assert_eq!(owners.len(), 1, "key {k} covered exactly once");
                 prop_assert_eq!(map.group_for(k), owners[0]);
             }
+        }
+    }
+}
+
+/// Reference model of [`Log`]: the same slot life cycle over a plain
+/// `BTreeMap`, with no window, overflow or incremental byte counters.
+/// Entries are `(ballot, command, committed, executed)`.
+#[derive(Default)]
+struct ModelLog {
+    entries: BTreeMap<u64, (Ballot, Command, bool, bool)>,
+    next_slot: u64,
+    cursor: u64,
+    compacted: u64,
+}
+
+impl ModelLog {
+    fn accept(&mut self, slot: u64, ballot: Ballot, command: Command) -> bool {
+        self.next_slot = self.next_slot.max(slot + 1);
+        if slot < self.cursor {
+            return true;
+        }
+        match self.entries.get_mut(&slot) {
+            Some(e) if e.2 => true,
+            Some(e) if e.0 > ballot => false,
+            Some(e) => {
+                (e.0, e.1) = (ballot, command);
+                true
+            }
+            None => {
+                self.entries.insert(slot, (ballot, command, false, false));
+                true
+            }
+        }
+    }
+
+    fn commit(&mut self, slot: u64, ballot: Ballot, command: Command) {
+        self.next_slot = self.next_slot.max(slot + 1);
+        if slot < self.cursor {
+            return;
+        }
+        let e = self
+            .entries
+            .entry(slot)
+            .or_insert_with(|| (ballot, command.clone(), false, false));
+        if !e.2 {
+            *e = (ballot, command, true, false);
+        }
+    }
+
+    fn next_executable(&self) -> Option<u64> {
+        let e = self.entries.get(&self.cursor)?;
+        (e.2 && !e.3).then_some(self.cursor)
+    }
+
+    fn mark_executed(&mut self, slot: u64) {
+        self.entries.get_mut(&slot).expect("executable").3 = true;
+        self.cursor += 1;
+    }
+
+    fn drop_below(&mut self, up_to: u64) {
+        self.entries = self.entries.split_off(&up_to);
+        self.compacted = self.compacted.max(up_to);
+    }
+
+    fn bytes(&self, executed_only: bool) -> usize {
+        self.entries
+            .values()
+            .filter(|e| e.3 || !executed_only)
+            .map(|e| e.1.payload_bytes())
+            .sum()
+    }
+}
+
+#[derive(Debug, Clone)]
+enum LogOp {
+    Accept(u64, u32, u64),
+    Commit(u64, u32, u64),
+    Execute,
+    /// Truncate at this fraction (/255) of the way from the compaction
+    /// floor to the execute cursor.
+    Truncate(u8),
+    InstallSnapshot(u64),
+}
+
+/// Slots mostly near the front, some far beyond the window's overflow
+/// gap (65 536 slots), and the hostile `u64::MAX - 1`.
+fn log_slot() -> BoxedStrategy<u64> {
+    let far = 1u64 << 40;
+    prop_oneof![
+        0u64..24,
+        0u64..24,
+        0u64..24,
+        far..far + 24,
+        Just(u64::MAX - 1)
+    ]
+    .boxed()
+}
+
+fn log_op() -> BoxedStrategy<LogOp> {
+    let acc = (log_slot(), 0u32..4, 0u64..48).prop_map(|(s, r, c)| LogOp::Accept(s, r, c));
+    let com = (log_slot(), 0u32..4, 0u64..48).prop_map(|(s, r, c)| LogOp::Commit(s, r, c));
+    prop_oneof![
+        acc,
+        com,
+        Just(LogOp::Execute),
+        Just(LogOp::Execute),
+        any::<u8>().prop_map(LogOp::Truncate),
+        log_slot().prop_map(LogOp::InstallSnapshot),
+    ]
+    .boxed()
+}
+
+/// Reads, and writes of varying size to a handful of keys.
+fn model_cmd(seq: u64) -> Command {
+    let op = if seq % 3 == 0 {
+        Operation::Get(seq % 6)
+    } else {
+        Operation::Put(seq % 6, Value::zeros((seq % 5) as usize))
+    };
+    Command {
+        id: RequestId {
+            client: NodeId(1000),
+            seq,
+        },
+        op,
+    }
+}
+
+fn assert_log_matches(log: &Log, model: &ModelLog) {
+    prop_assert_eq!(log.len(), model.entries.len());
+    prop_assert_eq!(log.execute_cursor(), model.cursor);
+    prop_assert_eq!(log.next_slot(), model.next_slot);
+    prop_assert_eq!(log.compacted_up_to(), model.compacted);
+    prop_assert_eq!(log.retained_bytes(), model.bytes(false));
+    prop_assert_eq!(log.executed_bytes(), model.bytes(true));
+    prop_assert_eq!(
+        log.next_executable().map(|(s, _)| s),
+        model.next_executable()
+    );
+    let far = 1u64 << 40;
+    let probes = (0..24).chain(far..far + 24).chain([u64::MAX - 1]);
+    for s in probes {
+        let got = log
+            .get(s)
+            .map(|e| (e.ballot, e.command.clone(), e.committed, e.executed));
+        prop_assert_eq!(got.as_ref(), model.entries.get(&s), "slot {}", s);
+    }
+    for from in [0, 12, far, far + 12, model.cursor] {
+        let want: Vec<_> = model
+            .entries
+            .range(from..)
+            .map(|(&s, e)| (s, e.0, e.1.clone()))
+            .collect();
+        prop_assert_eq!(log.entries_from(from), want);
+        let to = from.saturating_add(32);
+        let holes: Vec<u64> = (from..to)
+            .filter(|s| !model.entries.contains_key(s))
+            .collect();
+        prop_assert_eq!(log.holes(from, to), holes);
+        for key in 0..6 {
+            let pending = model
+                .entries
+                .range(from..)
+                .any(|(_, e)| !e.2 && !e.1.op.is_read() && e.1.op.key() == Some(key));
+            prop_assert_eq!(log.has_uncommitted_write(key, from), pending);
+        }
+    }
+    for seq in 0..48 {
+        let id = model_cmd(seq).id;
+        let open = model
+            .entries
+            .range(model.cursor..)
+            .any(|(_, e)| !e.3 && e.1.id == id);
+        prop_assert_eq!(log.has_unexecuted_command(id), open);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The slot-window `Log` behaves exactly like a `BTreeMap` reference
+    /// model under random accepts, commits, executions, truncations and
+    /// snapshot installs, including slots far enough ahead to land in
+    /// the window's overflow and move into it later.
+    #[test]
+    fn log_matches_btreemap_model(ops in prop::collection::vec(log_op(), 1..120)) {
+        let mut log = Log::new();
+        let mut model = ModelLog::default();
+        for op in ops {
+            match op {
+                LogOp::Accept(slot, round, seq) => {
+                    let b = Ballot::new(round, NodeId(0));
+                    prop_assert_eq!(
+                        log.accept(slot, b, model_cmd(seq)),
+                        model.accept(slot, b, model_cmd(seq))
+                    );
+                }
+                LogOp::Commit(slot, round, seq) => {
+                    let b = Ballot::new(round, NodeId(0));
+                    log.commit(slot, b, model_cmd(seq));
+                    model.commit(slot, b, model_cmd(seq));
+                }
+                LogOp::Execute => {
+                    if let Some((slot, _)) = log.next_executable() {
+                        log.mark_executed(slot);
+                        model.mark_executed(slot);
+                    }
+                }
+                LogOp::Truncate(frac) => {
+                    let span = model.cursor - model.compacted;
+                    let up_to = model.compacted + (span as u128 * frac as u128 / 255) as u64;
+                    log.truncate_below(up_to);
+                    if up_to > model.compacted {
+                        model.drop_below(up_to);
+                    }
+                }
+                LogOp::InstallSnapshot(up_to) => {
+                    let ahead = up_to > model.cursor;
+                    prop_assert_eq!(log.install_snapshot(up_to), ahead);
+                    if ahead {
+                        model.drop_below(up_to);
+                        model.cursor = up_to;
+                        model.next_slot = model.next_slot.max(up_to);
+                    }
+                }
+            }
+            assert_log_matches(&log, &model);
         }
     }
 }
